@@ -12,7 +12,7 @@ SPLIT_SEEDS ?= 42 7 1337
 # Seed matrix for the bit-rot suite; override with ROT_SEEDS="...".
 ROT_SEEDS ?= 42 7 1337
 
-.PHONY: build test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot
+.PHONY: build test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot e2e-check
 
 build:
 	$(GO) build ./...
@@ -31,8 +31,16 @@ race:
 # paths, the seeded chaos suite, the disk-crash matrix, and a one-
 # iteration smoke of the scheduler benchmark recorder so regressions in
 # the scaling path fail the loop, plus the bit-rot matrix proving
-# silent corruption stays detectable and healable.
-verify: build vet test race chaos crash split rot bench-json-smoke
+# silent corruption stays detectable and healable, and a build of the
+# end-to-end benchmark against this tree.
+verify: build vet test race chaos crash split rot bench-json-smoke e2e-check
+
+# The end-to-end benchmark (e2ebench/) is its own module, so the root
+# `go build ./...` never compiles it: vet and test it against the
+# working tree so an API change that breaks it fails the loop. Writes
+# no file under e2ebench/.
+e2e-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # Chaos determinism suite: the fault-injection golden tests under the
 # race detector, once per seed in the matrix. Each seed is a different
@@ -81,19 +89,19 @@ split:
 	done
 
 # Bit-rot matrix: seeded silent corruption across every artifact class
-# (workspace files, loose objects, packed extents, manifest, merkle
-# seal) x every repair source (replica quorum, cas, loose pool,
-# federation peers, deterministic reseal) — each injection must be
-# detected by the merkle-verified scrub, healed from the highest-
-# priority live source, and leave the tree byte-identical to an
-# uncorrupted run; quorum-holds-the-rot degradation and unrepairable
-# quarantine included. Under the race detector, once per seed (see
-# docs/RESILIENCE.md, "Scrubbing and silent corruption").
+# (workspace files, loose objects, packed extents, manifest) x every
+# repair source (replica quorum, cas, loose pool, federation peers,
+# deterministic reseal) — each injection must be detected by the
+# scrub's fsck walk, healed from the highest-priority live source, and
+# leave the tree byte-identical to an uncorrupted run; quorum-holds-
+# the-rot degradation and unrepairable quarantine included. Under the
+# race detector, once per seed (see docs/RESILIENCE.md, "Scrubbing and
+# silent corruption").
 rot:
 	@for seed in $(ROT_SEEDS); do \
 		echo "-- bit-rot suite, seed $$seed"; \
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Rot|Scrub|Merkle|Corrupt|Quorum|Reseed|Salvage|Quarantine' \
+			-run 'Rot|Scrub|Corrupt|Quorum|Reseed|Salvage|Quarantine' \
 			./internal/scrub/ ./internal/store/ ./internal/cas/ \
 			./internal/fault/ ./internal/repl/ ./cmd/popper/ \
 			|| exit 1; \

@@ -33,8 +33,8 @@
 //	popper build-paper               render paper/paper.tex
 //	popper scrub [--repair]          walk every artifact — manifest,
 //	                                 loose objects, packed extents,
-//	                                 replica trees — against the sealed
-//	                                 merkle sidecar; --repair heals
+//	                                 replica trees — against the
+//	                                 checksummed manifest; --repair heals
 //	                                 silent corruption through the
 //	                                 prioritized chain (replica quorum,
 //	                                 cas, loose pool, federation peers,
@@ -558,10 +558,9 @@ func cmdFsck(dir string, repair bool, replicas int, seed int64) error {
 }
 
 // fsckFinish completes an fsck verdict: replica agreement, then a
-// merkle-verified scrub pass so fsck subsumes the scrubber's findings —
-// silent corruption the manifest walk alone cannot localize. With
-// --repair the pass heals through the full chain (quorum, cas, loose,
-// peers, reseal) before judging.
+// scrub pass so fsck subsumes the scrubber's verdict. With --repair
+// the pass heals through the full chain (quorum, cas, loose, peers,
+// reseal) before judging.
 func fsckFinish(dir string, repair bool, replicas int, seed int64) error {
 	if err := fsckReplicas(dir, repair, replicas, seed); err != nil {
 		return err
@@ -585,7 +584,7 @@ func fsckFinish(dir string, repair bool, replicas int, seed int64) error {
 	return nil
 }
 
-// cmdScrub walks every artifact against the sealed merkle sidecar —
+// cmdScrub walks every artifact against the checksummed manifest —
 // the standalone face of the background scrubber `popper run
 // -scrub-interval` attaches. Detection is the default; --repair heals
 // findings through the prioritized chain and quarantines what no

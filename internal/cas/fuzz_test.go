@@ -9,8 +9,8 @@ import (
 	"popper/internal/fault"
 )
 
-// Fuzz targets for the two decoders that sit directly under silent
-// corruption: the extent parser/salvager and the merkle-seal parser.
+// Fuzz targets for the decoder that sits directly under silent
+// corruption: the extent parser and its salvager.
 // The corpus is seeded with pristine images plus the same seeded
 // bit-rot the crash and rot matrices inject (fault.CorruptBytes with
 // the matrix seeds), so the fuzzer starts from realistic damage.
@@ -34,28 +34,6 @@ func fuzzExtentImages() [][]byte {
 		for _, seed := range fuzzRotSeeds {
 			for round := 1; round <= 3; round++ {
 				rotted, _ := fault.CorruptBytes(seed, fmt.Sprintf("fuzz-extent-%d", i), round, img)
-				out = append(out, rotted)
-			}
-		}
-	}
-	return out
-}
-
-func fuzzMerkleImages() [][]byte {
-	var images [][]byte
-	for _, n := range []int{0, 1, 5, 64} {
-		leaves := make([][sha256.Size]byte, n)
-		for i := range leaves {
-			leaves[i] = sha256.Sum256([]byte(fmt.Sprintf("fuzz-leaf-%d", i)))
-		}
-		images = append(images, BuildMerkle(n+1, leaves).Encode())
-	}
-	var out [][]byte
-	for i, img := range images {
-		out = append(out, img)
-		for _, seed := range fuzzRotSeeds {
-			for round := 1; round <= 3; round++ {
-				rotted, _ := fault.CorruptBytes(seed, fmt.Sprintf("fuzz-merkle-%d", i), round, img)
 				out = append(out, rotted)
 			}
 		}
@@ -112,32 +90,6 @@ func FuzzSalvageExtent(f *testing.F) {
 		// parser accepts whole, the salvager recovers whole.
 		if parsed, err := ParseExtent(raw); err == nil && len(recs) < len(parsed) {
 			t.Fatalf("salvage recovered %d records from a pristine extent of %d", len(recs), len(parsed))
-		}
-	})
-}
-
-func FuzzParseMerkle(f *testing.F) {
-	for _, img := range fuzzMerkleImages() {
-		f.Add(img)
-	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := ParseMerkle(raw)
-		if err != nil {
-			return
-		}
-		// Accepted seals are internally consistent: the stored root must
-		// equal the root recomputed from the leaves, and the encoding is
-		// canonical.
-		leaves := make([][sha256.Size]byte, m.Len())
-		for i := range leaves {
-			leaves[i] = m.Leaf(i)
-		}
-		if BuildMerkle(m.Gen, leaves).Root() != m.Root() {
-			t.Fatal("accepted seal's root does not reduce from its leaves")
-		}
-		again, err := ParseMerkle(m.Encode())
-		if err != nil || again.Root() != m.Root() || again.Gen != m.Gen {
-			t.Fatalf("accepted seal does not round-trip: %v", err)
 		}
 	})
 }

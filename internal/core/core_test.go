@@ -66,6 +66,22 @@ func TestTemplateRegistryMatchesPaper(t *testing.T) {
 	if !strings.Contains(listing, "available templates") || !strings.Contains(listing, "gassyfs") {
 		t.Fatalf("listing:\n%s", listing)
 	}
+	wantOwnTokens(t, listing, Templates())
+}
+
+// wantOwnTokens asserts every name appears in the listing as its own
+// whitespace-separated token, never run together with a neighbour.
+func wantOwnTokens(t *testing.T, listing string, names []string) {
+	t.Helper()
+	tokens := make(map[string]bool)
+	for _, f := range strings.Fields(listing) {
+		tokens[f] = true
+	}
+	for _, n := range names {
+		if !tokens[n] {
+			t.Errorf("%s is not its own token in the listing:\n%s", n, listing)
+		}
+	}
 }
 
 func TestAddExperiment(t *testing.T) {
@@ -437,6 +453,7 @@ func TestPaperTemplates(t *testing.T) {
 			t.Errorf("listing missing %s:\n%s", n, listing)
 		}
 	}
+	wantOwnTokens(t, listing, names)
 	p := Init()
 	if err := p.AddPaper("bams"); err != nil {
 		t.Fatal(err)

@@ -75,10 +75,22 @@ func PaperTemplates() []string {
 func FormatPaperTemplateList() string {
 	var sb strings.Builder
 	sb.WriteString("-- available paper templates ---------\n")
-	for _, n := range PaperTemplates() {
-		fmt.Fprintf(&sb, "%-14s %s\n", n, paperRegistry[n].Description)
+	names := PaperTemplates()
+	width := columnWidth(names)
+	for _, n := range names {
+		fmt.Fprintf(&sb, "%-*s%s\n", width, n, paperRegistry[n].Description)
 	}
 	return sb.String()
+}
+
+// columnWidth is the padded width of a name column: the longest name
+// plus two spaces, so no name runs into its neighbour.
+func columnWidth(names []string) int {
+	width := 0
+	for _, n := range names {
+		width = max(width, len(n))
+	}
+	return width + 2
 }
 
 // AddPaper instantiates a manuscript template into paper/, replacing the

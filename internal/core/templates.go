@@ -57,8 +57,9 @@ func FormatTemplateList() string {
 	var sb strings.Builder
 	sb.WriteString("-- available templates ---------------\n")
 	names := Templates()
+	width := columnWidth(names)
 	for i, n := range names {
-		fmt.Fprintf(&sb, "%-18s", n)
+		fmt.Fprintf(&sb, "%-*s", width, n)
 		if (i+1)%3 == 0 || i == len(names)-1 {
 			sb.WriteByte('\n')
 		}

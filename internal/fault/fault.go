@@ -53,7 +53,7 @@ const (
 	// CorruptDisk ("corrupt-disk" in faults.yml) models silent bit-rot:
 	// the site succeeds but the bytes it observes are mutated by a
 	// seeded flip or truncation (CorruptBytes). No error surfaces — the
-	// scrubber's Merkle verification is what must catch it. See
+	// scrubber's hash walk against the manifest is what must catch it. See
 	// internal/scrub and docs/RESILIENCE.md.
 	CorruptDisk
 )

@@ -49,7 +49,7 @@ func (g *Group) ObjectQuorum(hash [sha256.Size]byte) ([]byte, int) {
 // FileQuorum returns a store file's bytes when at least a quorum of
 // live replicas serve identical content for the path — whole-file
 // attestation for artifacts with no content hash of their own (extent
-// images, the manifest, the Merkle seal). The count returned is the
+// images, the manifest). The count returned is the
 // largest agreeing set; nil bytes mean no variant reached quorum.
 func (g *Group) FileQuorum(path string) ([]byte, int) {
 	g.mu.Lock()

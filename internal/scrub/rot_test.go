@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 
 	"popper/internal/repl"
@@ -59,22 +60,24 @@ func wantConvergedGroup(t *testing.T, g *repl.Group, ref map[string][]byte, when
 	}
 }
 
+// rotClasses are the artifact classes the rot matrix damages, each
+// named by the Rot pattern that reaches it.
+var rotClasses = []struct {
+	name    string
+	pattern string
+}{
+	{"workspace-packed", "exp/vars.yml"},
+	{"workspace-loose", "exp/journal.csv"},
+	{"loose-object", store.ObjectFile(sha256.Sum256(journalPayload))},
+	{"extent", ".popper/extents/*"},
+	{"manifest", store.ManifestFile},
+}
+
 func TestRotMatrixGroupHealsEveryArtifactClass(t *testing.T) {
 	seed := chaosSeed(t)
-	classes := []struct {
-		name    string
-		pattern string
-	}{
-		{"workspace-packed", "exp/vars.yml"},
-		{"workspace-loose", "exp/journal.csv"},
-		{"loose-object", store.ObjectFile(sha256.Sum256(journalPayload))},
-		{"extent", ".popper/extents/*"},
-		{"manifest", store.ManifestFile},
-		{"merkle-seal", store.MerklePath},
-	}
 	// Three rot rounds per class: the seeded damage coin walks through
 	// single-bit flips, multi-bit scatters and truncations.
-	for _, class := range classes {
+	for _, class := range rotClasses {
 		for round := 1; round <= 3; round++ {
 			t.Run(fmt.Sprintf("%s/round-%d", class.name, round), func(t *testing.T) {
 				g, fss := buildGroup(t, seed)
@@ -99,6 +102,47 @@ func TestRotMatrixGroupHealsEveryArtifactClass(t *testing.T) {
 				wantConvergedGroup(t, g, ref, "after quorum heal")
 				if rep2 := mustScrub(t, sc); !rep2.Clean() {
 					t.Fatalf("second scrub not clean:\n%s", rep2.Format())
+				}
+			})
+		}
+	}
+}
+
+// TestScrubFindsNothingFsckMisses pins the detection contract: a scrub
+// pass detects exactly what one fsck walk reports. For every artifact
+// class and damage round, the sites a detect-only pass names are the
+// paths fsck flags on the same damage — nothing more, nothing less.
+func TestScrubFindsNothingFsckMisses(t *testing.T) {
+	seed := chaosSeed(t)
+	for _, class := range rotClasses {
+		for round := 1; round <= 3; round++ {
+			t.Run(fmt.Sprintf("%s/round-%d", class.name, round), func(t *testing.T) {
+				st, fs := buildStore(t, seed)
+				if hit := fs.Rot(class.pattern, round); len(hit) == 0 {
+					t.Fatalf("rot pattern %q touched nothing", class.pattern)
+				}
+				rep := mustScrub(t, New(st, Options{}))
+				var sites []string
+				for _, f := range rep.Findings {
+					sites = append(sites, f.Site)
+				}
+				frep, err := st.Fsck()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []string
+				if frep.ManifestMissing || frep.ManifestDamaged {
+					want = append(want, store.ManifestFile)
+				}
+				for _, f := range frep.Findings {
+					want = append(want, f.Path)
+				}
+				slices.Sort(want)
+				if len(want) == 0 {
+					t.Fatalf("fsck saw no damage from rot on %q", class.pattern)
+				}
+				if !slices.Equal(sites, want) {
+					t.Fatalf("scrub sites differ from fsck paths:\n scrub: %v\n  fsck: %v", sites, want)
 				}
 			})
 		}
@@ -156,8 +200,8 @@ func TestRotMatrixQuorumHoldsTheRot(t *testing.T) {
 }
 
 // TestRotMatrixMultiSiteRot rots several artifact classes at once on
-// the primary — tracked files, the seal — and the chain still converges
-// byte-exactly in one pass.
+// the primary — tracked files, the packed extents — and the chain still
+// converges byte-exactly in one pass.
 func TestRotMatrixMultiSiteRot(t *testing.T) {
 	seed := chaosSeed(t)
 	g, fss := buildGroup(t, seed)
@@ -166,8 +210,8 @@ func TestRotMatrixMultiSiteRot(t *testing.T) {
 	if hit := fss[0].Rot("exp/*", 2); len(hit) < 3 {
 		t.Fatalf("workspace rot touched only %v", hit)
 	}
-	if hit := fss[0].Rot(store.MerklePath, 2); len(hit) != 1 {
-		t.Fatalf("seal rot touched %v", hit)
+	if hit := fss[0].Rot(".popper/extents/*", 2); len(hit) != 2 {
+		t.Fatalf("extent rot touched %v", hit)
 	}
 
 	sc := New(nil, Options{Repair: true, Group: g})

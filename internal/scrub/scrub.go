@@ -1,16 +1,12 @@
 // Package scrub is the silent-corruption defense layer: a background
 // scrubber that walks manifests, loose objects, packed extents, the
 // cas tier and replica trees on a virtual-clock cadence, verifies
-// content against the store's sealed per-generation Merkle tree, and
-// heals what it finds through a prioritized repair chain.
+// content against the store's checksummed manifest, and heals what it
+// finds through a prioritized repair chain.
 //
-// Detection is hierarchical: the sealed Merkle root vouches for the
-// manifest's entries, so a clean repository verifies its seal in
-// O(log n) digest compares and a rotted leaf is localized by
-// descending only mismatching subtrees (cas.Merkle.Diff) instead of
-// re-hashing every object. The full fsck pass then classifies damage
-// to store metadata the tree does not cover (objects, extents, the
-// manifest itself).
+// Detection is exactly one store.Fsck walk: pass 1 re-hashes every
+// manifest entry against its recorded SHA-256, pass 2 classifies the
+// store metadata (objects, extents, the manifest itself).
 //
 // Healing follows a strict priority order, every rung digest-verified:
 //
@@ -58,8 +54,8 @@ const (
 	SourceLoose
 	// SourcePeer: a federation peer served the bytes over gasnet.
 	SourcePeer
-	// SourceReseal: deterministic reconstruction (the Merkle seal, a
-	// manifest rebuild) — no byte source needed.
+	// SourceReseal: deterministic reconstruction (an intact workspace
+	// copy, debris removal, a manifest rebuild) — no byte source needed.
 	SourceReseal
 )
 
@@ -82,7 +78,7 @@ func (s Source) String() string {
 // Finding is one verified integrity deviation a scrub pass surfaced.
 type Finding struct {
 	// Site is the damaged path (workspace file, object, extent,
-	// manifest, merkle seal), prefixed "replica <id>: " in group mode.
+	// manifest), prefixed "replica <id>: " in group mode.
 	Site string
 	// Replica is the store the finding lives in (0 for a plain store).
 	Replica int
@@ -116,12 +112,9 @@ type Report struct {
 	Generation int
 	// Scanned counts manifest entries content-verified this pass;
 	// Bytes the content bytes hashed.
-	Scanned int
-	Bytes   int64
-	// MerkleCompares counts hash-tree node compares spent localizing —
-	// the observable that proves localization is O(k log n).
-	MerkleCompares int
-	Findings       []Finding
+	Scanned  int
+	Bytes    int64
+	Findings []Finding
 	// Healed / Unrepairable tally the findings.
 	Healed       int
 	Unrepairable int
@@ -139,13 +132,13 @@ func (r *Report) Clean() bool { return len(r.Findings) == 0 }
 // Format renders the report the way `popper scrub` prints it.
 func (r *Report) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scrub: generation %d, %d entr%s verified (%d bytes), %d merkle compare(s)\n",
-		r.Generation, r.Scanned, plural(r.Scanned, "y", "ies"), r.Bytes, r.MerkleCompares)
+	fmt.Fprintf(&b, "scrub: generation %d, %d entr%s verified (%d bytes)\n",
+		r.Generation, r.Scanned, plural(r.Scanned, "y", "ies"), r.Bytes)
 	for _, f := range r.Findings {
 		fmt.Fprintf(&b, "  %s\n", f)
 	}
 	if r.Clean() {
-		b.WriteString("scrub: clean — the sealed merkle root vouches for every entry\n")
+		b.WriteString("scrub: clean — every manifest entry matches its recorded hash\n")
 	} else {
 		fmt.Fprintf(&b, "scrub: %d finding(s), %d healed, %d unrepairable\n",
 			len(r.Findings), r.Healed, r.Unrepairable)
@@ -319,34 +312,16 @@ func (sc *Scrubber) pass(st *store.Store, replica int, rep *Report) (bool, error
 		gen0 = -1 // damaged manifest: fsck will classify it below
 	}
 
-	// Detection step 1: fsck classifies structural damage — manifest,
-	// objects, extents, workspace files, the merkle seal. Runs under
-	// the store lock, so it never interleaves with a sync.
+	// Detection: fsck hashes every manifest entry against its recorded
+	// hash and classifies structural damage — manifest, objects,
+	// extents, workspace files. Runs under the store lock, so it never
+	// interleaves with a sync.
 	fsckRep, err := st.Fsck()
 	if err != nil {
 		return false, err
 	}
-
-	// Detection step 2: merkle localization. Build the observed tree
-	// from on-disk content and diff it against the sealed one; the
-	// compare count is the O(k log n) observable.
-	var suspects []string
-	man, merr := st.Manifest()
-	if merr == nil && man != nil && fsckRep.Generation == man.Generation {
-		sealed, serr := st.Merkle()
-		if serr == nil && sealed != nil && sealed.Gen == man.Generation {
-			observed, obsBytes, oerr := observedMerkle(st, man)
-			if oerr == nil {
-				rep.Scanned += man.Len()
-				rep.Bytes += obsBytes
-				diff, compares := sealed.Diff(observed)
-				rep.MerkleCompares += compares
-				for _, i := range diff {
-					suspects = append(suspects, man.Entries[i].Path)
-				}
-			}
-		}
-	}
+	rep.Scanned += fsckRep.Tracked
+	rep.Bytes += fsckRep.Bytes
 
 	// Generation fence: if a concurrent sync committed while we were
 	// scanning, every finding above may describe a tree that no longer
@@ -360,18 +335,12 @@ func (sc *Scrubber) pass(st *store.Store, replica int, rep *Report) (bool, error
 		rep.Generation = gen
 	}
 
-	// Fold fsck findings and merkle suspects into typed findings.
-	// Merkle-localized paths usually coincide with fsck's pass-1
-	// torn/corrupted findings; dedupe by path.
+	// Fold fsck findings into typed findings; seen indexes them by path
+	// (fsck reports each path at most once).
 	seen := make(map[string]int)
-	addFinding := func(site, note string) int {
-		if i, ok := seen[site]; ok {
-			return i
-		}
-		f := Finding{Site: sitePrefix(replica) + site, Replica: replica, Generation: gen, Note: note}
-		rep.Findings = append(rep.Findings, f)
-		seen[site] = len(rep.Findings) - 1
-		return len(rep.Findings) - 1
+	addFinding := func(site, note string) {
+		seen[site] = len(rep.Findings)
+		rep.Findings = append(rep.Findings, Finding{Site: sitePrefix(replica) + site, Replica: replica, Generation: gen, Note: note})
 	}
 	if fsckRep.ManifestMissing {
 		addFinding(store.ManifestFile, "manifest missing")
@@ -386,11 +355,8 @@ func (sc *Scrubber) pass(st *store.Store, replica int, rep *Report) (bool, error
 		}
 		addFinding(f.Path, note)
 	}
-	for _, path := range suspects {
-		addFinding(path, "content does not match the sealed merkle leaf")
-	}
 
-	if fsckRep.Clean() && len(suspects) == 0 {
+	if fsckRep.Clean() {
 		return false, nil
 	}
 	if !sc.opts.Repair {
@@ -398,12 +364,12 @@ func (sc *Scrubber) pass(st *store.Store, replica int, rep *Report) (bool, error
 	}
 
 	// Healing. Rung 1 first for whole-file artifacts: store metadata
-	// with no manifest entry of its own (extent images, the manifest,
-	// the merkle seal) heals byte-exactly only from a replica quorum.
+	// with no manifest entry of its own (extent images, the manifest)
+	// heals byte-exactly only from a replica quorum.
 	healedSites := make(map[string]Source)
 	if sc.opts.Group != nil {
 		for _, f := range fsckRep.Findings {
-			if !strings.HasPrefix(f.Path, store.ExtentsPrefix) && f.Path != store.MerklePath {
+			if !strings.HasPrefix(f.Path, store.ExtentsPrefix) {
 				continue
 			}
 			if data, n := sc.opts.Group.FileQuorum(f.Path); n > 0 && data != nil {
@@ -434,7 +400,7 @@ func (sc *Scrubber) pass(st *store.Store, replica int, rep *Report) (bool, error
 	// bytes seed the loose pool (healing a rotted loose object in place)
 	// so the structural repair below restores files byte-exactly.
 	// Re-read the manifest: rung 1 may have just healed it.
-	man, merr = st.Manifest()
+	man, merr := st.Manifest()
 	if merr == nil && man != nil {
 		for _, e := range man.Entries {
 			objSite := store.ObjectFile(e.Hash)
@@ -466,7 +432,7 @@ func (sc *Scrubber) pass(st *store.Store, replica int, rep *Report) (bool, error
 
 	// Structural repair: restore damaged files from the (now seeded)
 	// object cache, salvage what rung 1 could not fetch whole, remove
-	// debris, quarantine the unprovable, reseal the merkle.
+	// debris, quarantine the unprovable.
 	quarantined := make(map[string]bool)
 	fsckRep2, err := st.Fsck()
 	if err != nil {
@@ -519,7 +485,7 @@ func (sc *Scrubber) pass(st *store.Store, replica int, rep *Report) (bool, error
 		if src, ok := healedSites[site]; ok {
 			f.Source = src
 		} else {
-			// Reseal, debris removal, adoption, intent rollback: healed by
+			// Debris removal, adoption, intent rollback: healed by
 			// deterministic reconstruction, no byte source consulted.
 			f.Source = SourceReseal
 		}
@@ -536,9 +502,6 @@ func verifyStoreFile(path string, data []byte) bool {
 	switch {
 	case strings.HasPrefix(path, store.ExtentsPrefix):
 		_, err := cas.ParseExtent(data)
-		return err == nil
-	case path == store.MerklePath:
-		_, err := cas.ParseMerkle(data)
 		return err == nil
 	case path == store.ManifestFile:
 		_, err := store.ParseManifest(data)
@@ -640,24 +603,6 @@ func sitePrefix(replica int) string {
 		return ""
 	}
 	return fmt.Sprintf("replica %d: ", replica)
-}
-
-// observedMerkle builds the hash tree the on-disk content actually
-// reduces to, reading every entry through the instrumented read path.
-func observedMerkle(st *store.Store, man *store.Manifest) (*cas.Merkle, int64, error) {
-	leaves := make([][sha256.Size]byte, 0, man.Len())
-	var total int64
-	for _, e := range man.Entries {
-		content, err := st.ReadRaw(e.Path)
-		if err != nil {
-			// A missing file hashes as an empty leaf: it will differ from
-			// the sealed leaf and be localized like any other rot.
-			content = nil
-		}
-		total += int64(len(content))
-		leaves = append(leaves, store.MerkleLeaf(e.Path, int64(len(content)), sha256.Sum256(content)))
-	}
-	return cas.BuildMerkle(man.Generation, leaves), total, nil
 }
 
 // sortFindings orders findings for stable display.

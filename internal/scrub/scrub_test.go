@@ -133,7 +133,7 @@ func onlySource(t *testing.T, rep *Report, want Source) {
 	}
 }
 
-func TestScrubCleanStoreVerifiesLogarithmically(t *testing.T) {
+func TestScrubCleanPassHashesEveryEntry(t *testing.T) {
 	st, _ := buildStore(t, chaosSeed(t))
 	clock := fault.NewClock()
 	sc := New(st, Options{Repair: true, Clock: clock})
@@ -151,12 +151,13 @@ func TestScrubCleanStoreVerifiesLogarithmically(t *testing.T) {
 	if rep.Scanned != man.Len() {
 		t.Fatalf("scanned %d entries, manifest holds %d", rep.Scanned, man.Len())
 	}
-	// A clean tree settles at the sealed root: exactly one compare.
-	if rep.MerkleCompares != 1 {
-		t.Fatalf("clean verification spent %d merkle compares, want 1", rep.MerkleCompares)
+	// A clean pass hashes every entry's content exactly once.
+	var want int64
+	for _, e := range man.Entries {
+		want += e.Size
 	}
-	if rep.Bytes <= 0 {
-		t.Fatal("no bytes accounted")
+	if rep.Bytes <= 0 || rep.Bytes != want {
+		t.Fatalf("hashed %d bytes, manifest entries hold %d", rep.Bytes, want)
 	}
 	// The pass charged the virtual clock at the modeled throughput.
 	if clock.Now() <= 0 {
@@ -173,6 +174,51 @@ func TestScrubCleanStoreVerifiesLogarithmically(t *testing.T) {
 		if v := reg.Gauge(name); v <= 0 {
 			t.Fatalf("gauge %s = %v", name, v)
 		}
+	}
+}
+
+// TestScrubLegacySidecarIsFsckDebris pins the upgrade path for
+// repositories written when every commit also sealed a hash-tree
+// sidecar: the leftover file is unrecognized store metadata, repair
+// removes it without moving the generation, and the tree is then
+// byte-identical to one that never had it.
+func TestScrubLegacySidecarIsFsckDebris(t *testing.T) {
+	const legacy = ".popper/merkle"
+	st, fs := buildStore(t, chaosSeed(t))
+	ref := mustImage(t, st)
+	genBefore, err := st.Generation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(legacy, []byte("legacy sealed hash tree")); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := st.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 1 || rep.Findings[0].Path != legacy ||
+		rep.Findings[0].State != store.StateDebris || rep.Findings[0].Note != "unrecognized store metadata" {
+		t.Fatalf("legacy sidecar not reported as debris:\n%s", rep.Format())
+	}
+	acts, err := st.Repair(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acts) != 1 || acts[0].Verb != "removed" || acts[0].Path != legacy {
+		t.Fatalf("repair actions %v, want one removal of %s", acts, legacy)
+	}
+	if gen, err := st.Generation(); err != nil || gen != genBefore {
+		t.Fatalf("removing the sidecar moved the generation %d -> %d (%v)", genBefore, gen, err)
+	}
+	if _, err := fs.ReadFile(legacy); err == nil {
+		t.Fatal("legacy sidecar survived repair")
+	}
+	wantSameImage(t, mustImage(t, st), ref, "after sidecar removal")
+	mustCleanFsck(t, st, "after sidecar removal")
+	if srep := mustScrub(t, New(st, Options{})); !srep.Clean() {
+		t.Fatalf("detect-only scrub not clean:\n%s", srep.Format())
 	}
 }
 
@@ -200,8 +246,7 @@ func TestScrubDetectOnlyReportsWithoutMutating(t *testing.T) {
 	if !hit {
 		t.Fatalf("rot not localized:\n%s", rep.Format())
 	}
-	// Localization is sub-linear: well under one compare per entry pair,
-	// and the damaged tree is untouched.
+	// The damaged tree is untouched.
 	wantSameImage(t, mustImage(t, st), before, "after detection-only scrub")
 	rep2 := mustScrub(t, sc)
 	if rep2.Clean() {
@@ -387,7 +432,7 @@ func TestScrubQuarantinesTheUnrepairable(t *testing.T) {
 }
 
 // TestScrubDetectsTransientReadRot pins the read-side fault site: rot
-// injected at disk/read/* poisons one read, the merkle walk catches
+// injected at disk/read/* poisons one read, fsck's hash walk catches
 // the mismatch, and the heal converges on the (undamaged) at-rest
 // bytes.
 func TestScrubDetectsTransientReadRot(t *testing.T) {

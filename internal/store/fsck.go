@@ -68,8 +68,9 @@ type Finding struct {
 
 // Report is the result of one fsck pass.
 type Report struct {
-	Generation int // committed manifest generation (0 when none)
-	Tracked    int // files the committed manifest records
+	Generation int   // committed manifest generation (0 when none)
+	Tracked    int   // files the committed manifest records
+	Bytes      int64 // content bytes pass 1 read and hashed
 	// Pending: an intent record (.popper/manifest.next) survives — the
 	// last sync never committed.
 	Pending bool
@@ -166,10 +167,6 @@ func (s *Store) Fsck() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	onDisk := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		onDisk[p] = true
-	}
 
 	// Pass 1: every manifested file, against its recorded hash.
 	if man != nil {
@@ -185,6 +182,7 @@ func (s *Store) Fsck() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
+			rep.Bytes += int64(len(content))
 			if sha256.Sum256(content) == e.Hash {
 				continue
 			}
@@ -237,13 +235,6 @@ func (s *Store) Fsck() (*Report, error) {
 			if _, perr := cas.ParseExtent(raw); perr != nil {
 				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: "damaged stage-cache sidecar (cold start after removal)"})
 			}
-		case path == MerklePath:
-			// The per-generation Merkle seal: healthy only when it parses
-			// and matches the committed manifest exactly. Anything else is
-			// debris repair replaces by resealing — never by trusting it.
-			if note := s.merkleProblem(man); note != "" {
-				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: note, Repairable: true})
-			}
 		case strings.HasPrefix(path, popperDir+"/"):
 			rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: "unrecognized store metadata"})
 		case Tracked(path):
@@ -265,39 +256,8 @@ func (s *Store) Fsck() (*Report, error) {
 			rep.Findings = append(rep.Findings, f)
 		}
 	}
-	// A committed manifest without its Merkle seal: repair reseals. (A
-	// sidecar with no manifest at all is handled above as debris.)
-	if man != nil && !onDisk[MerklePath] {
-		rep.Findings = append(rep.Findings, Finding{
-			Path: MerklePath, State: StateMissing,
-			Note: "merkle seal missing (resealed on repair)", Repairable: true,
-		})
-	}
 	sort.Slice(rep.Findings, func(i, j int) bool { return rep.Findings[i].Path < rep.Findings[j].Path })
 	return rep, nil
-}
-
-// merkleProblem classifies the on-disk Merkle sidecar against the
-// committed manifest; empty means healthy. Callers hold the lock.
-func (s *Store) merkleProblem(man *Manifest) string {
-	raw, err := s.read(MerklePath)
-	if err != nil {
-		return "unreadable merkle seal"
-	}
-	m, perr := cas.ParseMerkle(raw)
-	if perr != nil {
-		return "damaged merkle seal (resealed on repair)"
-	}
-	if man == nil {
-		return "merkle seal without a manifest"
-	}
-	if m.Gen != man.Generation {
-		return fmt.Sprintf("stale merkle seal (generation %d, manifest %d)", m.Gen, man.Generation)
-	}
-	if m.Root() != MerkleForManifest(man).Root() {
-		return "merkle seal does not match the manifest"
-	}
-	return ""
 }
 
 // readManifestLoose parses a manifest file, folding absence/damage into
@@ -590,9 +550,6 @@ func (s *Store) Repair(rep *Report) ([]Action, error) {
 	// a group without diverging it from its peers. Only entry surgery
 	// (quarantine, adoption) or a lost manifest commits a new one.
 	if man != nil && sameEntries(man, entries) {
-		if err := s.sealMerkleLocked(man); err != nil {
-			return acts, err
-		}
 		if err := s.gc(man); err != nil {
 			return acts, err
 		}
@@ -604,9 +561,6 @@ func (s *Store) Repair(rep *Report) ([]Action, error) {
 	}
 	sortEntries(next)
 	if err := s.writeFileAtomic(manifestPath, next.Encode()); err != nil {
-		return acts, err
-	}
-	if err := s.sealMerkleLocked(next); err != nil {
 		return acts, err
 	}
 	s.man, s.got = next, true

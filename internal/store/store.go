@@ -322,15 +322,8 @@ func (s *Store) refuseIfInterrupted(op string) error {
 }
 
 // commitManifest renames the intent record over the committed manifest
-// — the sync's single atomic commit point — and makes it durable. The
-// Merkle sidecar for the new generation is sealed first, so a
-// committed manifest always has its seal on disk; a crash between the
-// two leaves a next-generation sidecar beside the old manifest, which
-// fsck flags as stale and repair reseals.
+// — the sync's single atomic commit point — and makes it durable.
 func (s *Store) commitManifest(next *Manifest) error {
-	if err := s.sealMerkleLocked(next); err != nil {
-		return err
-	}
 	if err := s.rename(manifestNextPath, manifestPath); err != nil {
 		return err
 	}
