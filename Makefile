@@ -20,8 +20,11 @@ build:
 test:
 	$(GO) test ./...
 
+# Static analysis plus a format gate: any file gofmt would rewrite
+# fails the loop.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: files need formatting:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...

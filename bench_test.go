@@ -159,6 +159,10 @@ func gassyfsSweep(b *testing.B, policy gassyfs.AllocPolicy, nodeCounts []int) *t
 	b.Helper()
 	spec := workload.GitCompileSpec()
 	spec.Sources = 48
+	tree, err := workload.SynthTree(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
 	results := table.New("workload", "machine", "nodes", "time")
 	for _, n := range nodeCounts {
 		c := cluster.New(42 + int64(n))
@@ -178,7 +182,7 @@ func gassyfsSweep(b *testing.B, policy gassyfs.AllocPolicy, nodeCounts []int) *t
 			b.Fatal(err)
 		}
 		cl, _ := fs.Client(0)
-		if err := workload.GenerateTree(cl, spec); err != nil {
+		if err := tree.Write(cl); err != nil {
 			b.Fatal(err)
 		}
 		res, err := workload.CompileOnCluster(fs, spec)

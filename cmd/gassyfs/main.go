@@ -57,6 +57,11 @@ func run(args []string) error {
 		policy = gassyfs.AllocLocalFirst
 	}
 
+	tree, err := workload.SynthTree(spec)
+	if err != nil {
+		return err
+	}
+
 	results := table.New("workload", "machine", "nodes", "time")
 	var xs, ys []float64
 	for _, n := range nodes {
@@ -80,7 +85,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := workload.GenerateTree(cl, spec); err != nil {
+		if err := tree.Write(cl); err != nil {
 			return err
 		}
 		res, err := workload.CompileOnCluster(fsys, spec)

@@ -32,6 +32,10 @@ func main() {
 	spec := workload.GitCompileSpec()
 	spec.Sources = 96
 	spec.Seed = seed
+	tree, err := workload.SynthTree(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	results := table.New("workload", "machine", "nodes", "time")
 	var chart plot.LineChart
@@ -62,7 +66,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := workload.GenerateTree(cl, spec); err != nil {
+			if err := tree.Write(cl); err != nil {
 				log.Fatal(err)
 			}
 			res, err := workload.CompileOnCluster(fs, spec)

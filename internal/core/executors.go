@@ -54,6 +54,12 @@ func runGassyfs(x *ExecState) error {
 	// equivalence tests in internal/workload and internal/core.
 	pool := sched.NewPool(jobs)
 	spec.Pool = pool
+	// The seeded tree is the same for every node count: synthesize it
+	// once and write it into each fresh filesystem.
+	tree, err := workload.SynthTree(spec)
+	if err != nil {
+		return err
+	}
 
 	results := table.New("workload", "machine", "nodes", "time", "compile_time", "link_time")
 	// Results is exposed before the loop so streaming validation sees
@@ -84,7 +90,7 @@ func runGassyfs(x *ExecState) error {
 		if err != nil {
 			return err
 		}
-		if err := workload.GenerateTree(cl, spec); err != nil {
+		if err := tree.Write(cl); err != nil {
 			return err
 		}
 		res, err := workload.CompileOnCluster(fs, spec)

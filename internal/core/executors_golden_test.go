@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"popper/internal/aver"
@@ -29,5 +31,23 @@ func TestGassyfsExecutorHostJobsInvariant(t *testing.T) {
 	}
 	if verdictSerial != verdictParallel {
 		t.Fatalf("verdicts differ:\n--- jobs=1\n%s\n--- jobs=8\n%s", verdictSerial, verdictParallel)
+	}
+}
+
+// TestGassyfsExecutorResultsDigest pins the executor's output itself:
+// the virtual times in results.csv for a fixed template run. The
+// jobs-invariance test above cannot see a change that moves every
+// jobs level alike.
+func TestGassyfsExecutorResultsDigest(t *testing.T) {
+	const want = "f49f6560b2cb36875622bb98d1f66762a238f34ff2d974c24092b50082c1d765"
+	p, _ := runTemplate(t, "gassyfs", map[string]string{
+		"nodes": "1,2,4", "sources": "24", "segment_mb": "64",
+	})
+	csv, ok := p.ExperimentFile("exp", "results.csv")
+	if !ok {
+		t.Fatal("results.csv missing")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(csv)); got != want {
+		t.Fatalf("results.csv sha256 = %s, want %s\n%s", got, want, csv)
 	}
 }

@@ -123,7 +123,7 @@ func (p *Project) Popperize(name string, adhoc map[string][]byte) (created int, 
 		p.Files[expPath(name, rel)] = content
 	}
 	skeletons := map[string]string{
-		"run.sh": "#!/bin/sh\n# Replay the archived ad-hoc artifacts on the simulated substrate\n# and regenerate results.csv and the figures from them.\npopper run " + name + "\n",
+		"run.sh":    "#!/bin/sh\n# Replay the archived ad-hoc artifacts on the simulated substrate\n# and regenerate results.csv and the figures from them.\npopper run " + name + "\n",
 		"setup.yml": "- name: setup\n  hosts: all\n  tasks:\n    - name: sanitize environment\n      ping:\n",
 		"vars.yml":  "template: adhoc\nmachine: cloudlab-c220g1\ntrials: 3\nseed: 42\n",
 		"validations.aver": "# Every archived artifact was replayed and measured; tighten these\n" +

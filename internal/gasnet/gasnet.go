@@ -26,6 +26,7 @@
 package gasnet
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -46,10 +47,15 @@ type Addr struct {
 // touch disjoint block ranges without contention, and lazy
 // materialization keeps huge registrations (gigabytes of aggregate
 // simulated memory) cheap when experiments touch only a small subset.
+// An all-zero write into an unmaterialized chunk leaves it unmaterialized:
+// a nil chunk already reads as zeros.
 const (
 	chunkShift = 18 // 256 KiB chunks
 	chunkSize  = int64(1) << chunkShift
 )
+
+// zeroChunk is compared against, never written.
+var zeroChunk [chunkSize]byte
 
 type segChunk struct {
 	mu   sync.Mutex
@@ -80,7 +86,7 @@ func (s *segment) span(c int) (lo, hi int64) {
 
 // writeAt copies data into the segment at off. Bounds are validated by
 // the caller; only the chunks overlapping the range are locked, one at a
-// time.
+// time. The segment never keeps a reference to data.
 func (s *segment) writeAt(off int64, data []byte) {
 	for len(data) > 0 {
 		c := int(off >> chunkShift)
@@ -91,10 +97,12 @@ func (s *segment) writeAt(off int64, data []byte) {
 		}
 		ch := &s.chunks[c]
 		ch.mu.Lock()
-		if ch.data == nil {
+		if ch.data != nil {
+			copy(ch.data[off-lo:], data[:n])
+		} else if !bytes.Equal(data[:n], zeroChunk[:n]) {
 			ch.data = make([]byte, hi-lo)
+			copy(ch.data[off-lo:], data[:n])
 		}
-		copy(ch.data[off-lo:], data[:n])
 		ch.mu.Unlock()
 		off += n
 		data = data[n:]

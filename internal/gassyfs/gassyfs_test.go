@@ -594,3 +594,51 @@ func TestQuickFsckAfterRandomOps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An all-zero file written into a freed block that still holds an old
+// file's bytes must read back as zeros: the sparse-zero rule in gasnet
+// only skips chunks that were never materialized.
+func TestZeroFileOverFreedBlock(t *testing.T) {
+	for _, cacheBlocks := range []int{0, 4} {
+		t.Run(fmt.Sprintf("cache=%d", cacheBlocks), func(t *testing.T) {
+			fs, cl := mount(t, 2, Options{BlockSize: 1024, CacheBlocks: cacheBlocks})
+			other, err := fs.Client(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := bytes.Repeat([]byte("stale"), 1024/5*3)
+			if err := cl.WriteFile("/old", old); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := other.ReadFile("/old"); err != nil { // warm rank 1's cache
+				t.Fatal(err)
+			}
+			oldBlocks := append([]gasnet.Addr(nil), fs.inodes["/old"].blocks...)
+			if err := cl.Remove("/old"); err != nil {
+				t.Fatal(err)
+			}
+			zeros := make([]byte, len(old))
+			if err := cl.WriteFile("/new", zeros); err != nil {
+				t.Fatal(err)
+			}
+			reused := false
+			for _, b := range fs.inodes["/new"].blocks {
+				for _, o := range oldBlocks {
+					reused = reused || b == o
+				}
+			}
+			if !reused {
+				t.Fatal("the zero file did not reuse a freed block; the test proves nothing")
+			}
+			for _, c := range []*Client{cl, other} {
+				got, err := c.ReadFile("/new")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, zeros) {
+					t.Fatalf("rank %d reads stale bytes from a reused block", c.rank)
+				}
+			}
+		})
+	}
+}

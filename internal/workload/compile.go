@@ -80,36 +80,90 @@ func hdrPath(i int) string { return fmt.Sprintf("/src/include/hdr%03d.h", i) }
 // GenerateTree writes the synthetic source tree into the filesystem
 // through the given client.
 func GenerateTree(cl *gassyfs.Client, spec CompileSpec) error {
-	if err := spec.validate(); err != nil {
+	tree, err := SynthTree(spec)
+	if err != nil {
 		return err
 	}
+	return tree.Write(cl)
+}
+
+// Tree is a synthesized source tree held in memory: the seeded header
+// and source bytes of one spec. It is read-only once built, so a caller
+// that builds the same spec on several fresh filesystems (one per node
+// count) synthesizes it once and writes it into each.
+type Tree struct {
+	headers [][]byte
+	sources [][]byte
+}
+
+// SynthTree generates the spec's header and source bytes from its seed.
+func SynthTree(spec CompileSpec) (*Tree, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(spec.Seed))
+	t := &Tree{
+		headers: make([][]byte, spec.Headers),
+		sources: make([][]byte, spec.Sources),
+	}
+	for h := range t.headers {
+		t.headers[h] = synthBytes(rng, spec.HdrSize)
+	}
+	for i := range t.sources {
+		size := spec.AvgSrcSize/2 + rng.Intn(spec.AvgSrcSize)
+		t.sources[i] = synthBytes(rng, size)
+	}
+	return t, nil
+}
+
+// Write creates the tree's directories and files through the client,
+// headers first, then sources in index order.
+func (t *Tree) Write(cl *gassyfs.Client) error {
 	for _, d := range []string{"/src", "/src/c", "/src/include", "/src/obj", "/src/bin"} {
 		if err := cl.MkdirAll(d); err != nil {
 			return err
 		}
 	}
-	for h := 0; h < spec.Headers; h++ {
-		if err := cl.WriteFile(hdrPath(h), synthBytes(rng, spec.HdrSize)); err != nil {
+	for h, data := range t.headers {
+		if err := cl.WriteFile(hdrPath(h), data); err != nil {
 			return err
 		}
 	}
-	for i := 0; i < spec.Sources; i++ {
-		size := spec.AvgSrcSize/2 + rng.Intn(spec.AvgSrcSize)
-		if err := cl.WriteFile(srcPath(i), synthBytes(rng, size)); err != nil {
+	for i, data := range t.sources {
+		if err := cl.WriteFile(srcPath(i), data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// synthBytes draws n bytes from a fixed alphabet. It inlines
+// rng.Intn(len(chars)) — math/rand's Int31n rejection loop over the top
+// 31 bits of Int63 — so it consumes the stream exactly as a per-byte
+// Intn call would, and a seed yields the same bytes, without that call
+// chain per byte.
 func synthBytes(rng *rand.Rand, n int) []byte {
-	out := make([]byte, n)
 	const chars = "abcdefghijklmnopqrstuvwxyz(){};/* */\n\t#include int return"
+	const limit = int32((1<<31 - 1) - (1<<31)%len(chars))
+	out := make([]byte, n)
 	for i := range out {
-		out[i] = chars[rng.Intn(len(chars))]
+		v := int32(rng.Int63() >> 32)
+		for v > limit {
+			v = int32(rng.Int63() >> 32)
+		}
+		out[i] = chars[v%int32(len(chars))]
 	}
 	return out
+}
+
+// zeros returns n zero bytes backed by *buf, growing it on demand. The
+// bytes are only ever read (filesystem writes copy them), so one buffer
+// serves every all-zero file a rank writes.
+func zeros(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
 }
 
 // CompileResult summarizes one distributed build.
@@ -126,8 +180,9 @@ type CompileResult struct {
 // files, then charge the shard's compute. All costs land on the rank's
 // own node clock and every filesystem op goes through the rank's own
 // client, so the shard's simulated behaviour is independent of how
-// shards interleave on the host.
-func compileShard(fs *gassyfs.FS, spec CompileSpec, rank int) error {
+// shards interleave on the host. Object files are all zeros; they are
+// written from *zbuf, which grows to the largest object and is reused.
+func compileShard(fs *gassyfs.FS, spec CompileSpec, rank int, zbuf *[]byte) error {
 	world := fs.World()
 	cl, err := fs.Client(rank)
 	if err != nil {
@@ -152,7 +207,7 @@ func compileShard(fs *gassyfs.FS, spec CompileSpec, rank int) error {
 		}
 		unitBytes := float64(len(src)) + float64(headerBytes)
 		shardCPU += unitBytes * spec.CompileOpsPerByte
-		obj := make([]byte, int(float64(len(src))*spec.ObjRatio))
+		obj := zeros(zbuf, int(float64(len(src))*spec.ObjRatio))
 		if err := cl.WriteFile(objPath(i), obj); err != nil {
 			return fmt.Errorf("workload: writing object: %w", err)
 		}
@@ -185,8 +240,9 @@ func CompileOnCluster(fs *gassyfs.FS, spec CompileSpec) (CompileResult, error) {
 	if pool == nil {
 		pool = sched.NewPool(spec.HostJobs)
 	}
+	zbufs := make([][]byte, n)
 	errs := pool.Each(n, func(rank int) error {
-		return compileShard(fs, spec, rank)
+		return compileShard(fs, spec, rank, &zbufs[rank])
 	})
 	if err := sched.FirstError(errs); err != nil {
 		return CompileResult{}, err
@@ -208,7 +264,7 @@ func CompileOnCluster(fs *gassyfs.FS, spec CompileSpec) (CompileResult, error) {
 	}
 	node0, _ := world.Node(0)
 	node0.Run(cluster.Work{CPUOps: float64(objTotal) * spec.LinkOpsPerByte, MemBytes: float64(objTotal)})
-	if err := cl0.WriteFile("/src/bin/git", make([]byte, objTotal/3)); err != nil {
+	if err := cl0.WriteFile("/src/bin/git", zeros(&zbufs[0], int(objTotal/3))); err != nil {
 		return CompileResult{}, err
 	}
 	end := world.Barrier()

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"popper/internal/cluster"
@@ -80,6 +83,124 @@ func TestGenerateTreeDeterministic(t *testing.T) {
 	}
 }
 
+// refTree is the per-byte reference generator SynthTree must match: one
+// rng.Intn call per byte, and each source's size drawn just before its
+// bytes. It returns the files' contents in write order, headers first.
+func refTree(spec CompileSpec) [][]byte {
+	const chars = "abcdefghijklmnopqrstuvwxyz(){};/* */\n\t#include int return"
+	rng := rand.New(rand.NewSource(spec.Seed))
+	gen := func(n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = chars[rng.Intn(len(chars))]
+		}
+		return out
+	}
+	var files [][]byte
+	for h := 0; h < spec.Headers; h++ {
+		files = append(files, gen(spec.HdrSize))
+	}
+	for i := 0; i < spec.Sources; i++ {
+		size := spec.AvgSrcSize/2 + rng.Intn(spec.AvgSrcSize)
+		files = append(files, gen(size))
+	}
+	return files
+}
+
+func TestSynthTreeMatchesReference(t *testing.T) {
+	for _, base := range []struct {
+		name string
+		spec CompileSpec
+	}{{"small", smallSpec()}, {"git", GitCompileSpec()}} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, sources := range []int{64, 96, 128, 160} {
+				spec := base.spec
+				spec.Seed, spec.Sources = seed, sources
+				tree, err := SynthTree(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := append(append([][]byte{}, tree.headers...), tree.sources...)
+				want := refTree(spec)
+				if len(got) != len(want) {
+					t.Fatalf("%s seed=%d sources=%d: %d files, want %d", base.name, seed, sources, len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("%s seed=%d sources=%d: file %d differs from the reference", base.name, seed, sources, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// treeDigest hashes a generated tree read back from the filesystem:
+// each file's path, a NUL and its bytes, in write order.
+func treeDigest(t *testing.T, cl *gassyfs.Client, spec CompileSpec) string {
+	t.Helper()
+	h := sha256.New()
+	add := func(p string) {
+		b, err := cl.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+		h.Write(b)
+	}
+	for i := 0; i < spec.Headers; i++ {
+		add(hdrPath(i))
+	}
+	for i := 0; i < spec.Sources; i++ {
+		add(srcPath(i))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestGitTreeDigest pins the seed-1 Git tree's bytes, so a drift in
+// SynthTree and refTree alike still fails.
+func TestGitTreeDigest(t *testing.T) {
+	const want = "a4b452eacbea35568695986ff852166538563c3ae434e47cfe668796cdb5172e"
+	spec := GitCompileSpec()
+	fs := buildFS(t, 1, 1)
+	cl, _ := fs.Client(0)
+	if err := GenerateTree(cl, spec); err != nil {
+		t.Fatal(err)
+	}
+	if got := treeDigest(t, cl, spec); got != want {
+		t.Fatalf("seed-1 Git tree digest = %s, want %s", got, want)
+	}
+}
+
+func TestTreeWriteReusable(t *testing.T) {
+	// One synthesized tree written into two fresh filesystems reads back
+	// identically in both: Write copies and never mutates the tree.
+	spec := smallSpec()
+	tree, err := SynthTree(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digests []string
+	for _, nodes := range []int{1, 4} {
+		fs := buildFS(t, nodes, 3)
+		cl, _ := fs.Client(0)
+		if err := tree.Write(cl); err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, treeDigest(t, cl, spec))
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("tree read back differently: %s vs %s", digests[0], digests[1])
+	}
+	want := refTree(spec)
+	for i, b := range append(append([][]byte{}, tree.headers...), tree.sources...) {
+		if !bytes.Equal(b, want[i]) {
+			t.Fatalf("file %d of the tree changed after Write", i)
+		}
+	}
+}
+
 func TestCompileSpecValidation(t *testing.T) {
 	fs := buildFS(t, 1, 2)
 	cl, _ := fs.Client(0)
@@ -93,6 +214,9 @@ func TestCompileSpecValidation(t *testing.T) {
 	for i, s := range bad {
 		if err := GenerateTree(cl, s); err == nil {
 			t.Errorf("case %d: GenerateTree should reject", i)
+		}
+		if _, err := SynthTree(s); err == nil {
+			t.Errorf("case %d: SynthTree should reject", i)
 		}
 		if _, err := CompileOnCluster(fs, s); err == nil {
 			t.Errorf("case %d: CompileOnCluster should reject", i)
